@@ -14,16 +14,10 @@
 //! ```
 //!
 //! `--selfcheck` validates the JSONL schema (span nesting, phase sums,
-//! counter consistency) and asserts the exported cache/exec counters
-//! match the compiler's `CacheStats` and the summed launch reports
-//! exactly; it then drives the background compile tier (tickets over
-//! one key, a cancellation, and a tiered gpu-pf promotion) and asserts
-//! `spawned == completed + failed + cancelled` with exact registry
-//! parity on the `ks_core.async.*` and `gpu_pf.promotions*` counters.
-//! Finally it round-trips a probe kernel through a throwaway persistent
-//! store (cold publish, warm disk hit, byte-identical reload) and
-//! asserts `ks_core.store.*` registry parity against `CacheStats`.
-//! It exits non-zero on any mismatch.
+//! counter consistency), asserts `hits + misses == compile requests`
+//! and that the exported sim counters match the summed launch reports
+//! exactly, then dry-runs the SLO watchdog, the Prometheus exposition
+//! and the bounded sink. It exits non-zero on any mismatch.
 
 use ks_apps::template_match::{MatchImpl, MatchProblem};
 use ks_apps::{backproj, piv, synth, template_match, GpuRunResult, Variant};
@@ -95,7 +89,7 @@ fn main() {
     // Opt-in fault injection (KS_FAULT_SEED / KS_FAULT_COMPILE_PPM /
     // KS_FAULT_DEVICE_PPM): install the seeded plan and arm retries so
     // the profiled run still completes; the selfcheck below then proves
-    // the resilience counters reconcile exactly even under faults.
+    // `hits + misses == requests` still holds exactly under faults.
     let mut compiler = Compiler::new(dev);
     if let Some(plan) = ks_fault::FaultPlan::from_env() {
         eprintln!(
@@ -121,16 +115,8 @@ fn main() {
     };
 
     if selfcheck {
-        // Order matters: `check` compares the profile snapshot against
-        // the live counters, so it must run before the async/promotion
-        // probes add their own traffic to the same compiler.
         let checks = [
             ("profile", check(&compiler, &profile)),
-            ("async tier", async_check(&compiler)),
-            ("promotion", promotion_check(&compiler)),
-            ("store", store_check(compiler.device())),
-            ("scope roll-up", scope_check(&compiler)),
-            ("integrity", integrity_check(&compiler)),
             ("watchdog", watchdog_check()),
             ("prom export", prom_check(&profile)),
             ("sink", sink_check()),
@@ -142,8 +128,8 @@ fn main() {
             }
         }
         eprintln!(
-            "ks-prof: selfcheck ok ({} compiles, {} spans, {} launches, \
-             async+promotion+store+scope+integrity+watchdog+prom+sink parity)",
+            "ks-prof: selfcheck ok ({} compiles, {} spans, {} launches; \
+             schema, requests, sim counters, watchdog, prom, sink)",
             profile.compiles.len(),
             profile.spans.len(),
             profile.exec.launches
@@ -336,64 +322,14 @@ fn run(
     })
 }
 
-/// Cross-validate the profile against every independent source of the
-/// same numbers: the JSONL schema validator, the compiler's own
-/// `CacheStats`, and the registry counters published by ks-core/ks-sim.
+/// Validate the profile: the JSONL schema, the registry-wide
+/// `hits + misses == compile requests` invariant, and the exported
+/// sim counters against the summed launch reports.
 fn check(compiler: &Compiler, p: &KernelProfile) -> Result<(), String> {
     ks_trace::validate_profile_jsonl(&p.to_jsonl())?;
 
     let stats = compiler.cache_stats();
-    if (
-        p.cache.hits,
-        p.cache.misses,
-        p.cache.dedup_waits,
-        p.cache.evictions,
-        p.cache.failures,
-        p.cache.quarantined,
-        p.cache.retries,
-        p.cache.breaker_opens,
-    ) != (
-        stats.hits,
-        stats.misses,
-        stats.dedup_waits,
-        stats.evictions,
-        stats.failures,
-        stats.quarantined,
-        stats.retries,
-        stats.breaker_opens,
-    ) {
-        return Err(format!(
-            "cache counters {:?} disagree with CacheStats {stats}",
-            p.cache
-        ));
-    }
     let reg = ks_trace::registry();
-    let reg_cache = (
-        reg.counter_value(ks_trace::names::CACHE_HITS),
-        reg.counter_value(ks_trace::names::CACHE_MISSES),
-        reg.counter_value(ks_trace::names::CACHE_DEDUP_WAITS),
-        reg.counter_value(ks_trace::names::CACHE_EVICTIONS),
-        reg.counter_value(ks_trace::names::CACHE_FAILURES),
-        reg.counter_value(ks_trace::names::CACHE_QUARANTINED),
-        reg.counter_value(ks_trace::names::COMPILE_RETRIES),
-        reg.counter_value(ks_trace::names::BREAKER_OPEN),
-    );
-    if reg_cache
-        != (
-            stats.hits,
-            stats.misses,
-            stats.dedup_waits,
-            stats.evictions,
-            stats.failures,
-            stats.quarantined,
-            stats.retries,
-            stats.breaker_opens,
-        )
-    {
-        return Err(format!(
-            "registry cache counters {reg_cache:?} disagree with CacheStats {stats}"
-        ));
-    }
     if reg.counter_value(ks_trace::names::COMPILE_REQUESTS) != stats.hits + stats.misses {
         return Err("hits + misses != compile requests".into());
     }
@@ -426,321 +362,6 @@ const PROBE_KERNEL: &str = r#"
         if (i < N) { x[i] = x[i] + 1.0f; }
     }
 "#;
-
-fn async_registry() -> (u64, u64, u64, u64) {
-    let r = ks_trace::registry();
-    (
-        r.counter_value(ks_trace::names::ASYNC_SPAWNED),
-        r.counter_value(ks_trace::names::ASYNC_COMPLETED),
-        r.counter_value(ks_trace::names::ASYNC_FAILED),
-        r.counter_value(ks_trace::names::ASYNC_CANCELLED),
-    )
-}
-
-/// Drive the background compile tier and prove its accounting: three
-/// tickets over one key plus one cancelled ticket, then assert
-/// `spawned == completed + failed + cancelled` on the compiler's
-/// `AsyncStats` with exact delta parity on the `ks_core.async.*`
-/// registry counters. Runs under whatever fault plan is installed —
-/// the balance must hold whether tickets complete or fail.
-fn async_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
-    let s0 = compiler.async_stats();
-    let r0 = async_registry();
-    let tickets: Vec<_> = (0..3)
-        .map(|_| compiler.spawn_compile(PROBE_KERNEL, Defines::new().def("N", 128)))
-        .collect();
-    let doomed = compiler.spawn_compile(PROBE_KERNEL, Defines::new().def("N", 129));
-    let cancelled = doomed.cancel();
-    for t in &tickets {
-        // Under injected faults a ticket may legitimately fail; the
-        // accounting below must balance either way.
-        let _ = t.wait();
-    }
-    let _ = doomed.wait();
-    let s1 = compiler.async_stats();
-    let spawned = s1.spawned - s0.spawned;
-    let resolved =
-        (s1.completed - s0.completed) + (s1.failed - s0.failed) + (s1.cancelled - s0.cancelled);
-    if spawned != 4 || resolved != 4 {
-        return Err(format!(
-            "async accounting unbalanced: {spawned} spawned, {resolved} resolved ({s1})"
-        ));
-    }
-    if (s1.cancelled - s0.cancelled) != u64::from(cancelled) {
-        return Err(format!(
-            "cancel() returned {cancelled} but cancelled delta is {}",
-            s1.cancelled - s0.cancelled
-        ));
-    }
-    let r1 = async_registry();
-    let reg_delta = (r1.0 - r0.0, r1.1 - r0.1, r1.2 - r0.2, r1.3 - r0.3);
-    let stats_delta = (
-        spawned,
-        s1.completed - s0.completed,
-        s1.failed - s0.failed,
-        s1.cancelled - s0.cancelled,
-    );
-    if reg_delta != stats_delta {
-        return Err(format!(
-            "ks_core.async.* registry deltas {reg_delta:?} disagree with AsyncStats deltas \
-             {stats_delta:?}"
-        ));
-    }
-    Ok(())
-}
-
-fn store_registry() -> (u64, u64, u64) {
-    let r = ks_trace::registry();
-    (
-        r.counter_value(ks_trace::names::STORE_DISK_HITS),
-        r.counter_value(ks_trace::names::STORE_DISK_MISSES),
-        r.counter_value(ks_trace::names::STORE_ERRORS),
-    )
-}
-
-/// Prove the persistent-store tier's accounting: a cold compiler
-/// publishes a record, a warm compiler on the same directory serves it
-/// from disk without compiling (byte-identical), and the
-/// `ks_core.store.*` registry deltas match both compilers' `CacheStats`
-/// exactly.
-fn store_check(device: &DeviceConfig) -> Result<(), String> {
-    let mut dir = std::env::temp_dir();
-    dir.push(format!("ks-prof-selfcheck-store-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    let r0 = store_registry();
-    let defs = Defines::new().def("N", 640);
-
-    let cold = Compiler::new(device.clone())
-        .with_store(&dir)
-        .map_err(|e| format!("open store: {e}"))?;
-    let a = cold
-        .compile(PROBE_KERNEL, &defs)
-        .map_err(|e| e.to_string())?;
-    let cs = cold.cache_stats();
-    if (cs.misses, cs.disk_misses, cs.disk_hits, cs.store_errors) != (1, 1, 0, 0) {
-        return Err(format!("cold store pass accounting off: {cs}"));
-    }
-
-    let warm = Compiler::new(device.clone())
-        .with_store(&dir)
-        .map_err(|e| format!("open store: {e}"))?;
-    let b = warm
-        .compile(PROBE_KERNEL, &defs)
-        .map_err(|e| e.to_string())?;
-    let ws = warm.cache_stats();
-    if (
-        ws.hits,
-        ws.misses,
-        ws.disk_hits,
-        ws.disk_misses,
-        ws.store_errors,
-    ) != (1, 0, 1, 0, 0)
-    {
-        return Err(format!("warm store pass accounting off: {ws}"));
-    }
-    if a.ptx != b.ptx {
-        return Err("reloaded binary is not byte-identical to the compiled one".into());
-    }
-
-    let r1 = store_registry();
-    let reg_delta = (r1.0 - r0.0, r1.1 - r0.1, r1.2 - r0.2);
-    let stats_delta = (
-        cs.disk_hits + ws.disk_hits,
-        cs.disk_misses + ws.disk_misses,
-        cs.store_errors + ws.store_errors,
-    );
-    if reg_delta != stats_delta {
-        return Err(format!(
-            "ks_core.store.* registry deltas {reg_delta:?} disagree with CacheStats deltas \
-             {stats_delta:?}"
-        ));
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    Ok(())
-}
-
-/// Drive one tiered gpu-pf refresh end to end: the module must serve
-/// immediately, promote to its specialized binary, and account the
-/// promotion on both `PromotionStats` and `gpu_pf.promotions`.
-fn promotion_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
-    let reg = ks_trace::registry();
-    let p0 = reg.counter_value(ks_trace::names::PF_PROMOTIONS);
-    let mut p = gpu_pf::Pipeline::new(compiler.clone(), 1 << 20);
-    p.set_refresh_mode(gpu_pf::RefreshMode::Tiered);
-    let n = p.int_param("N", 256);
-    let m = p.module(PROBE_KERNEL, vec![("N", gpu_pf::MacroBinding::Param(n))]);
-    p.refresh().map_err(|e| format!("tiered refresh: {e}"))?;
-    p.wait_promotions();
-    let stats = p.promotion_stats();
-    if p.module_tier(m) != Some(gpu_pf::Tier::Specialized) {
-        return Err(format!(
-            "module did not reach Specialized: {:?} ({stats:?}, degradations {:?})",
-            p.module_tier(m),
-            p.degradations()
-        ));
-    }
-    if stats.promoted != 1 || stats.pending != 0 {
-        return Err(format!("promotion accounting off: {stats:?}"));
-    }
-    let p1 = reg.counter_value(ks_trace::names::PF_PROMOTIONS);
-    if p1 - p0 != 1 {
-        return Err(format!(
-            "gpu_pf.promotions delta {} != PromotionStats.promoted 1",
-            p1 - p0
-        ));
-    }
-    Ok(())
-}
-
-/// Prove the labeled-scope roll-up: two labeled pipelines publish known
-/// iteration counts, and the sum of the per-pipeline cells must equal
-/// both the expected publishes and the global counter's delta, exactly.
-fn scope_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
-    let reg = ks_trace::registry();
-    let g0 = reg.counter_value(ks_trace::names::PF_ITERATIONS);
-    let run_labeled = |label: &str, iters: u64| -> Result<(), String> {
-        let mut p = gpu_pf::Pipeline::new(compiler.clone(), 1 << 20);
-        p.set_label(label);
-        p.refresh().map_err(|e| e.to_string())?;
-        p.run(iters).map_err(|e| e.to_string())
-    };
-    run_labeled("sc-a", 5)?;
-    run_labeled("sc-b", 3)?;
-    let g1 = reg.counter_value(ks_trace::names::PF_ITERATIONS);
-    if g1 - g0 != 8 {
-        return Err(format!("global gpu_pf.iterations delta {} != 8", g1 - g0));
-    }
-    let a = reg.counter_value("gpu_pf.iterations{pipeline=sc-a}");
-    let b = reg.counter_value("gpu_pf.iterations{pipeline=sc-b}");
-    if (a, b) != (5, 3) {
-        return Err(format!("scoped cells (sc-a={a}, sc-b={b}) != (5, 3)"));
-    }
-    // Sum over every single-label pipeline cell (these two are the only
-    // labeled pipelines in this process) == the global delta: the
-    // roll-up is exact, not approximate.
-    let snap = reg.snapshot();
-    let sum = ks_trace::scoped_counter_sum(&snap, "gpu_pf.iterations", "pipeline");
-    if sum != 8 {
-        return Err(format!(
-            "sum of pipeline-scoped gpu_pf.iterations cells {sum} != global delta 8"
-        ));
-    }
-    Ok(())
-}
-
-/// Prove integrity-counter parity: a seeded silent flip against a
-/// dedicated probe pipeline must be detected, adjudicated transient,
-/// and recovered — and the global `gpu_pf.integrity.*` counter deltas
-/// must equal the pipeline's own `IntegrityStats`, field for field.
-fn integrity_check(compiler: &std::sync::Arc<Compiler>) -> Result<(), String> {
-    let reg = ks_trace::registry();
-    let read = || -> [u64; 7] {
-        [
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_CHECKS),
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_WITNESS),
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_VIOLATIONS),
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_TRANSIENT),
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_CORRUPT),
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_RECOVERED),
-            reg.counter_value(ks_trace::names::PF_INTEGRITY_REEXECS),
-        ]
-    };
-
-    let mut p = gpu_pf::Pipeline::new(compiler.clone(), 1 << 20);
-    p.set_integrity(Some(gpu_pf::IntegrityConfig {
-        witness_period: 1,
-        vote_m: 3,
-        vote_n: 2,
-    }));
-    let elems = 256u32;
-    let ext = p.extent_param("x", [elems, 1, 1], 4);
-    let h_x = p.host_memory(ext);
-    let d_x = p.global_memory(ext);
-    let m = p.module(
-        PROBE_KERNEL,
-        vec![("N", gpu_pf::MacroBinding::Literal(elems.to_string()))],
-    );
-    let k = p.kernel(m, "probe");
-    let grid = p.triplet_param("grid", [elems.div_ceil(64), 1, 1]);
-    let blk = p.triplet_param("block", [64, 1, 1]);
-    let once = p.schedule_param("once", 1_000_000, 0);
-    let every = p.schedule_param("every", 1, 0);
-    let n = p.int_param("n", elems as i64);
-    p.copy("h2d", h_x, d_x, once);
-    p.exec(
-        "probe",
-        k,
-        grid,
-        blk,
-        None,
-        vec![gpu_pf::Arg::Mem(d_x), gpu_pf::Arg::Param(n)],
-        every,
-    );
-    p.copy("d2h", d_x, h_x, every);
-    let vals: Vec<u8> = (0..elems).flat_map(|i| (i as f32).to_le_bytes()).collect();
-    p.set_host_data(h_x, &vals);
-    p.refresh().map_err(|e| format!("refresh: {e}"))?;
-    let key = p
-        .module_bound_key(m)
-        .ok_or("probe module has no bound key")?
-        .clone();
-
-    // Flip one output bit of the specialized variant's first launch;
-    // witness and vote launches carry other keys and stay clean. The
-    // prior plan (possibly armed via KS_FAULT_SEED) is restored after.
-    let prior = ks_fault::active();
-    let plan = std::sync::Arc::new(
-        ks_fault::FaultPlan::new(0x5DC).rule(
-            ks_fault::FaultRule::new(
-                ks_fault::FaultKind::SilentFlip,
-                ks_fault::Target::Key(key.lo64),
-            )
-            .nth(1),
-        ),
-    );
-    ks_fault::install(plan.clone());
-    let before = read();
-    let run = p.run(2);
-    match prior {
-        Some(prev) => ks_fault::install(prev),
-        None => ks_fault::clear(),
-    }
-    run.map_err(|e| format!("probe run: {e}"))?;
-
-    if plan.injected_count() != 1 {
-        return Err(format!("injected {} flips, want 1", plan.injected_count()));
-    }
-    let stats = p.integrity_stats();
-    let want = [
-        stats.checks,
-        stats.witness_launches,
-        stats.violations,
-        stats.transient_flips,
-        stats.corrupt_binaries,
-        stats.recovered,
-        stats.reexecutions,
-    ];
-    if want != [2, 2, 1, 1, 0, 1, 4] {
-        return Err(format!("unexpected IntegrityStats: {stats:?}"));
-    }
-    let after = read();
-    let deltas: Vec<u64> = after.iter().zip(&before).map(|(a, b)| a - b).collect();
-    if deltas != want {
-        return Err(format!(
-            "gpu_pf.integrity.* registry deltas {deltas:?} != IntegrityStats {want:?}"
-        ));
-    }
-    // Two iterations, flip scrubbed by recovery: every element advanced
-    // by exactly 2.0 — the corruption never reached host memory.
-    let out = p.host_data(h_x);
-    for (i, c) in out.chunks_exact(4).enumerate() {
-        let v = f32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        if v != i as f32 + 2.0 {
-            return Err(format!("element {i} is {v}, want {}", i as f32 + 2.0));
-        }
-    }
-    Ok(())
-}
 
 /// Watchdog dry run on a private registry: a clean window raises
 /// nothing, a seeded spike breaches exactly once (edge-triggered, no

@@ -15,10 +15,10 @@
 //! * **Bounded capacity** — an optional LRU bound with eviction
 //!   accounting, for long-running services that sweep huge define spaces.
 //!
-//! Statistics are atomics, updated exactly once per `compile()` call, so
-//! `hits + misses` equals the number of successful calls under arbitrary
-//! interleavings (the seed kept stats under a separate mutex from the
-//! cache map, which let the two disagree).
+//! Statistics live in ks-trace cells, bumped exactly once per
+//! `compile()` call, so `hits + misses` equals the number of successful
+//! calls under arbitrary interleavings. [`CacheStats`] reads this
+//! instance's cells; the registry's aggregates count the same publishes.
 
 use crate::store::StoreTier;
 use crate::{Binary, CacheStats, CompileError, ResilienceConfig};
@@ -29,18 +29,19 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Pre-resolved handles into the ks-trace registry. Every increment
-/// below pairs a local [`Counters`] atomic with the matching registry
-/// counter, so `CacheStats` and the exported metrics agree exactly (for
-/// a single compiler; the registry aggregates across compilers). Built
-/// from a [`ks_trace::Scope`] so a labeled compiler's cache traffic is
-/// published under its label set too — scoped handles chain into the
-/// unlabeled globals, keeping the registry-wide invariants exact.
-struct TraceCounters {
+/// This cache's telemetry cells: the only storage for its counts.
+/// Each is an unregistered [`ks_trace::Counter::leaf`] chained onto the
+/// compiler's scope handle, so one publish lands in this instance's
+/// cell, the labeled cell and the unlabeled global. [`CacheStats`] is a
+/// read-only view over them. The two time totals have no registry
+/// counterpart and stand alone.
+struct Cells {
     hits: ks_trace::Counter,
     misses: ks_trace::Counter,
     evictions: ks_trace::Counter,
     dedup_waits: ks_trace::Counter,
+    compile_micros: ks_trace::Counter,
+    dedup_wait_micros: ks_trace::Counter,
     failures: ks_trace::Counter,
     quarantined: ks_trace::Counter,
     retries: ks_trace::Counter,
@@ -50,20 +51,29 @@ struct TraceCounters {
     store_errors: ks_trace::Counter,
 }
 
-impl TraceCounters {
-    fn from_scope(scope: &ks_trace::Scope<'_>) -> TraceCounters {
-        TraceCounters {
-            hits: scope.counter(ks_trace::names::CACHE_HITS),
-            misses: scope.counter(ks_trace::names::CACHE_MISSES),
-            evictions: scope.counter(ks_trace::names::CACHE_EVICTIONS),
-            dedup_waits: scope.counter(ks_trace::names::CACHE_DEDUP_WAITS),
-            failures: scope.counter(ks_trace::names::CACHE_FAILURES),
-            quarantined: scope.counter(ks_trace::names::CACHE_QUARANTINED),
-            retries: scope.counter(ks_trace::names::COMPILE_RETRIES),
-            breaker_opens: scope.counter(ks_trace::names::BREAKER_OPEN),
-            disk_hits: scope.counter(ks_trace::names::STORE_DISK_HITS),
-            disk_misses: scope.counter(ks_trace::names::STORE_DISK_MISSES),
-            store_errors: scope.counter(ks_trace::names::STORE_ERRORS),
+impl Cells {
+    /// Cells chained onto `scope`, carrying over `prev`'s totals (a
+    /// relabel keeps the running counts).
+    fn new(scope: &ks_trace::Scope<'_>, prev: Option<&Cells>) -> Cells {
+        use ks_trace::{names, Counter};
+        let leaf = |name: &str, old: fn(&Cells) -> &Counter| {
+            Counter::leaf(Some(&scope.counter(name)), prev.map(old))
+        };
+        let local = |old: fn(&Cells) -> &Counter| Counter::leaf(None, prev.map(old));
+        Cells {
+            hits: leaf(names::CACHE_HITS, |c| &c.hits),
+            misses: leaf(names::CACHE_MISSES, |c| &c.misses),
+            evictions: leaf(names::CACHE_EVICTIONS, |c| &c.evictions),
+            dedup_waits: leaf(names::CACHE_DEDUP_WAITS, |c| &c.dedup_waits),
+            compile_micros: local(|c| &c.compile_micros),
+            dedup_wait_micros: local(|c| &c.dedup_wait_micros),
+            failures: leaf(names::CACHE_FAILURES, |c| &c.failures),
+            quarantined: leaf(names::CACHE_QUARANTINED, |c| &c.quarantined),
+            retries: leaf(names::COMPILE_RETRIES, |c| &c.retries),
+            breaker_opens: leaf(names::BREAKER_OPEN, |c| &c.breaker_opens),
+            disk_hits: leaf(names::STORE_DISK_HITS, |c| &c.disk_hits),
+            disk_misses: leaf(names::STORE_DISK_MISSES, |c| &c.disk_misses),
+            store_errors: leaf(names::STORE_ERRORS, |c| &c.store_errors),
         }
     }
 }
@@ -152,28 +162,10 @@ impl Shard {
     }
 }
 
-#[derive(Default)]
-struct Counters {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    dedup_waits: AtomicU64,
-    compile_micros: AtomicU64,
-    dedup_wait_micros: AtomicU64,
-    failures: AtomicU64,
-    quarantined: AtomicU64,
-    retries: AtomicU64,
-    breaker_opens: AtomicU64,
-    disk_hits: AtomicU64,
-    disk_misses: AtomicU64,
-    store_errors: AtomicU64,
-}
-
 pub(crate) struct BinaryCache {
     shards: Box<[Mutex<Shard>]>,
     tick: AtomicU64,
-    counters: Counters,
-    trace: TraceCounters,
+    cells: Cells,
 }
 
 /// What the probe decided this call is.
@@ -189,7 +181,7 @@ enum Claim {
 }
 
 impl BinaryCache {
-    pub(crate) fn new(capacity: Option<usize>) -> BinaryCache {
+    pub(crate) fn new(capacity: Option<usize>, scope: &ks_trace::Scope<'_>) -> BinaryCache {
         let n = match capacity {
             // Capacity is distributed across shards; never more shards
             // than capacity so each shard holds at least one entry and
@@ -208,16 +200,15 @@ impl BinaryCache {
         BinaryCache {
             shards,
             tick: AtomicU64::new(0),
-            counters: Counters::default(),
-            trace: TraceCounters::from_scope(&ks_trace::registry().scoped(&[])),
+            cells: Cells::new(scope, None),
         }
     }
 
-    /// Re-point the registry handles at a labeled scope
-    /// ([`crate::Compiler::with_metric_labels`]). Configure before
-    /// compiling; already-published increments stay where they landed.
+    /// Re-chain the cells onto a labeled scope
+    /// ([`crate::Compiler::with_metric_labels`]). The stats keep their
+    /// totals; already-published increments stay where they landed.
     pub(crate) fn set_metric_scope(&mut self, scope: &ks_trace::Scope<'_>) {
-        self.trace = TraceCounters::from_scope(scope);
+        self.cells = Cells::new(scope, Some(&self.cells));
     }
 
     fn shard(&self, key: Fingerprint) -> &Mutex<Shard> {
@@ -234,36 +225,22 @@ impl BinaryCache {
     }
 
     pub(crate) fn stats(&self) -> CacheStats {
+        let c = &self.cells;
         CacheStats {
-            hits: self.counters.hits.load(Ordering::Relaxed),
-            misses: self.counters.misses.load(Ordering::Relaxed),
-            evictions: self.counters.evictions.load(Ordering::Relaxed),
-            dedup_waits: self.counters.dedup_waits.load(Ordering::Relaxed),
-            total_compile_micros: self.counters.compile_micros.load(Ordering::Relaxed),
-            total_dedup_wait_micros: self.counters.dedup_wait_micros.load(Ordering::Relaxed),
-            failures: self.counters.failures.load(Ordering::Relaxed),
-            quarantined: self.counters.quarantined.load(Ordering::Relaxed),
-            retries: self.counters.retries.load(Ordering::Relaxed),
-            breaker_opens: self.counters.breaker_opens.load(Ordering::Relaxed),
-            disk_hits: self.counters.disk_hits.load(Ordering::Relaxed),
-            disk_misses: self.counters.disk_misses.load(Ordering::Relaxed),
-            store_errors: self.counters.store_errors.load(Ordering::Relaxed),
+            hits: c.hits.get(),
+            misses: c.misses.get(),
+            evictions: c.evictions.get(),
+            dedup_waits: c.dedup_waits.get(),
+            total_compile_micros: c.compile_micros.get(),
+            total_dedup_wait_micros: c.dedup_wait_micros.get(),
+            failures: c.failures.get(),
+            quarantined: c.quarantined.get(),
+            retries: c.retries.get(),
+            breaker_opens: c.breaker_opens.get(),
+            disk_hits: c.disk_hits.get(),
+            disk_misses: c.disk_misses.get(),
+            store_errors: c.store_errors.get(),
         }
-    }
-
-    fn count_hit(&self) {
-        self.counters.hits.fetch_add(1, Ordering::Relaxed);
-        self.trace.hits.inc();
-    }
-
-    fn count_disk_hit(&self) {
-        self.counters.disk_hits.fetch_add(1, Ordering::Relaxed);
-        self.trace.disk_hits.inc();
-    }
-
-    fn count_store_error(&self) {
-        self.counters.store_errors.fetch_add(1, Ordering::Relaxed);
-        self.trace.store_errors.inc();
     }
 
     /// Insert a committed binary and enforce the LRU bound. Caller holds
@@ -286,8 +263,7 @@ impl BinaryCache {
                     .map(|(k, _)| *k)
                     .expect("nonempty over capacity");
                 shard.entries.remove(&lru);
-                self.counters.evictions.fetch_add(1, Ordering::Relaxed);
-                self.trace.evictions.inc();
+                self.cells.evictions.inc();
             }
         }
     }
@@ -307,10 +283,10 @@ impl BinaryCache {
         {
             let mut shard = self.shard(key).lock();
             if let Some(e) = shard.entries.get_mut(&key) {
-                e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+                e.last_used = self.stamp();
                 let bin = e.bin.clone();
                 drop(shard);
-                self.count_hit();
+                self.cells.hits.inc();
                 return Some(bin);
             }
             if shard.inflight.contains_key(&key) || shard.failed.contains_key(&key) {
@@ -325,22 +301,22 @@ impl BinaryCache {
                 if let Some(e) = shard.entries.get_mut(&key) {
                     // A leader committed while we read the disk; serve
                     // its entry so `Arc` identity stays canonical.
-                    e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+                    e.last_used = self.stamp();
                     let cached = e.bin.clone();
                     drop(shard);
-                    self.count_hit();
+                    self.cells.hits.inc();
                     return Some(cached);
                 }
                 shard.failed.remove(&key);
                 self.insert_entry_locked(&mut shard, key, bin.clone());
                 drop(shard);
-                self.count_hit();
-                self.count_disk_hit();
+                self.cells.hits.inc();
+                self.cells.disk_hits.inc();
                 Some(bin)
             }
             Ok(None) => None,
             Err(_) => {
-                self.count_store_error();
+                self.cells.store_errors.inc();
                 None
             }
         }
@@ -376,7 +352,7 @@ impl BinaryCache {
         let claim = {
             let mut shard = self.shard(key).lock();
             if let Some(e) = shard.entries.get_mut(&key) {
-                e.last_used = self.tick.fetch_add(1, Ordering::Relaxed);
+                e.last_used = self.stamp();
                 Claim::Hit(e.bin.clone())
             } else if let Some(f) = shard.inflight.get(&key) {
                 Claim::Follow(f.clone())
@@ -390,32 +366,28 @@ impl BinaryCache {
         };
         match claim {
             Claim::Hit(bin) => {
-                self.count_hit();
+                self.cells.hits.inc();
                 Ok(bin)
             }
             Claim::FastFail(err) => {
-                self.counters.failures.fetch_add(1, Ordering::Relaxed);
-                self.counters.quarantined.fetch_add(1, Ordering::Relaxed);
-                self.trace.failures.inc();
-                self.trace.quarantined.inc();
+                self.cells.failures.inc();
+                self.cells.quarantined.inc();
                 Err(err)
             }
             Claim::Follow(flight) => {
                 let t0 = Instant::now();
                 let result = flight.wait();
-                self.counters.dedup_waits.fetch_add(1, Ordering::Relaxed);
-                self.trace.dedup_waits.inc();
-                self.counters
+                self.cells.dedup_waits.inc();
+                self.cells
                     .dedup_wait_micros
-                    .fetch_add(t0.elapsed().as_micros() as u64, Ordering::Relaxed);
+                    .add(t0.elapsed().as_micros() as u64);
                 // Duplicate-compile suppression is a hit, not a miss: the
                 // §4.3 overhead was paid once, by the leader. A failed
                 // flight fails every follower, itemized per caller.
                 if result.is_ok() {
-                    self.count_hit();
+                    self.cells.hits.inc();
                 } else {
-                    self.counters.failures.fetch_add(1, Ordering::Relaxed);
-                    self.trace.failures.inc();
+                    self.cells.failures.inc();
                 }
                 result
             }
@@ -438,12 +410,11 @@ impl BinaryCache {
                         Ok(bin)
                     }
                     Some(Ok(None)) => {
-                        self.counters.disk_misses.fetch_add(1, Ordering::Relaxed);
-                        self.trace.disk_misses.inc();
+                        self.cells.disk_misses.inc();
                         run_attempt(&compile, res)
                     }
                     Some(Err(_)) => {
-                        self.count_store_error();
+                        self.cells.store_errors.inc();
                         run_attempt(&compile, res)
                     }
                     None => run_attempt(&compile, res),
@@ -461,8 +432,7 @@ impl BinaryCache {
                     if !delay.is_zero() {
                         std::thread::sleep(delay);
                     }
-                    self.counters.retries.fetch_add(1, Ordering::Relaxed);
-                    self.trace.retries.inc();
+                    self.cells.retries.inc();
                     result = run_attempt(&compile, res);
                 }
                 std::mem::forget(guard);
@@ -476,21 +446,18 @@ impl BinaryCache {
                                 // The §4.3 overhead was avoided: a disk
                                 // hit is a hit, not a miss, and adds no
                                 // compile time.
-                                self.count_hit();
-                                self.count_disk_hit();
+                                self.cells.hits.inc();
+                                self.cells.disk_hits.inc();
                             } else {
-                                self.counters.misses.fetch_add(1, Ordering::Relaxed);
-                                self.trace.misses.inc();
-                                self.counters.compile_micros.fetch_add(
-                                    bin.compile_time.as_micros() as u64,
-                                    Ordering::Relaxed,
-                                );
+                                self.cells.misses.inc();
+                                self.cells
+                                    .compile_micros
+                                    .add(bin.compile_time.as_micros() as u64);
                             }
                             self.insert_entry_locked(&mut shard, key, bin.clone());
                         }
                         Err(e) => {
-                            self.counters.failures.fetch_add(1, Ordering::Relaxed);
-                            self.trace.failures.inc();
+                            self.cells.failures.inc();
                             self.record_failure_locked(&mut shard, key, e, res);
                         }
                     }
@@ -502,7 +469,7 @@ impl BinaryCache {
                 if !from_disk {
                     if let (Ok(bin), Some(s)) = (&result, store) {
                         if s.save(key, bin).is_err() {
-                            self.count_store_error();
+                            self.cells.store_errors.inc();
                         }
                     }
                 }
@@ -532,8 +499,7 @@ impl BinaryCache {
         let breaker = res.breaker_threshold > 0 && fe.consecutive >= res.breaker_threshold;
         if breaker {
             fe.until = now + res.breaker_cooldown;
-            self.counters.breaker_opens.fetch_add(1, Ordering::Relaxed);
-            self.trace.breaker_opens.inc();
+            self.cells.breaker_opens.inc();
         } else {
             fe.until = now + res.quarantine_ttl;
         }
@@ -581,8 +547,7 @@ impl Drop for FlightGuard<'_> {
         {
             let mut shard = self.cache.shard(self.key).lock();
             shard.inflight.remove(&self.key);
-            self.cache.counters.failures.fetch_add(1, Ordering::Relaxed);
-            self.cache.trace.failures.inc();
+            self.cache.cells.failures.inc();
             self.cache
                 .record_failure_locked(&mut shard, self.key, &err, self.res);
         }
@@ -611,7 +576,7 @@ mod tests {
     #[test]
     fn capacity_slices_sum_exactly() {
         for cap in [1usize, 2, 3, 7, 16, 17, 100] {
-            let c = BinaryCache::new(Some(cap));
+            let c = BinaryCache::new(Some(cap), &ks_trace::registry().scoped(&[]));
             let total: usize = c.shards.iter().map(|s| s.lock().capacity.unwrap()).sum();
             assert_eq!(total, cap, "capacity {cap}");
             assert!(c.shards.len() <= cap.clamp(1, DEFAULT_SHARDS));
@@ -621,7 +586,7 @@ mod tests {
 
     #[test]
     fn leader_panic_unblocks_followers() {
-        let cache = Arc::new(BinaryCache::new(None));
+        let cache = Arc::new(BinaryCache::new(None, &ks_trace::registry().scoped(&[])));
         let c2 = cache.clone();
         let (tx, rx) = std::sync::mpsc::channel();
         let key = Fingerprint::from_u128(42);

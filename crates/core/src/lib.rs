@@ -47,7 +47,7 @@ pub use ks_analysis::{AnalysisConfig, Diagnostic};
 use ks_codegen::CodegenOptions;
 use ks_sim::{DeviceConfig, RegAlloc};
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 mod background;
@@ -288,8 +288,11 @@ impl std::error::Error for CompileError {}
 
 /// Cache statistics (hits mean the §4.3 overhead was avoided entirely).
 ///
-/// Counters are maintained atomically in the same operation that probes
-/// or fills the cache, so at quiescence `hits + misses` equals the number
+/// A read-only view over the compiler's own telemetry cells: the same
+/// cells that feed the `ks_core.cache.*`, `ks_core.store.*` and
+/// resilience counters in the registry, so the two cannot disagree.
+/// Cells are bumped in the same operation that probes or fills the
+/// cache, so at quiescence `hits + misses` equals the number
 /// of successful [`Compiler::compile`] calls under arbitrary thread
 /// interleavings. Requests deduplicated by single-flight count as hits
 /// (the overhead was paid once, by the leader); their blocked time is
@@ -526,10 +529,11 @@ pub struct Compiler {
     store: Option<store::StoreTier>,
     resilience: ResilienceConfig,
     fault_plan: Option<Arc<ks_fault::FaultPlan>>,
-    /// Async-tier accounting, shared with in-flight background jobs so
-    /// `spawned == completed + failed + cancelled` holds at quiescence
-    /// even if the compiler is dropped mid-flight.
-    async_stats: Arc<background::AsyncStatsCell>,
+    /// Async-tier telemetry cells, created by the first
+    /// [`Compiler::spawn_compile`] and shared with in-flight background
+    /// jobs so `spawned == completed + failed + cancelled` holds at
+    /// quiescence even if the compiler is dropped mid-flight.
+    async_cells: OnceLock<Arc<background::AsyncCells>>,
     /// Label set for scoped metric publication
     /// ([`Compiler::with_metric_labels`]); empty = unlabeled globals.
     metric_labels: Vec<(String, String)>,
@@ -544,11 +548,11 @@ impl Compiler {
             opt_config: ks_opt::OptConfig::default(),
             analysis: None,
             validation: None,
-            cache: cache::BinaryCache::new(None),
+            cache: cache::BinaryCache::new(None, &ks_trace::registry().scoped(&[])),
             store: None,
             resilience: ResilienceConfig::default(),
             fault_plan: None,
-            async_stats: Arc::new(background::AsyncStatsCell::default()),
+            async_cells: OnceLock::new(),
             metric_labels: Vec::new(),
             metrics: TraceMetrics::from_scope(&ks_trace::registry().scoped(&[])),
         }
@@ -559,7 +563,7 @@ impl Compiler {
     /// alongside the unlabeled global (scoped handles chain into the
     /// globals, so aggregates and invariants are unchanged). Configure
     /// before compiling; increments already published stay where they
-    /// landed.
+    /// landed, and [`Compiler::cache_stats`] keeps its totals.
     pub fn with_metric_labels(mut self, labels: &[(&str, &str)]) -> Compiler {
         self.metric_labels = labels
             .iter()
@@ -647,8 +651,7 @@ impl Compiler {
     /// default. Configure before compiling: this replaces the cache, so
     /// any already-cached binaries are dropped.
     pub fn with_cache_capacity(mut self, capacity: usize) -> Compiler {
-        self.cache = cache::BinaryCache::new(Some(capacity.max(1)));
-        self.cache.set_metric_scope(&self.metric_scope());
+        self.cache = cache::BinaryCache::new(Some(capacity.max(1)), &self.metric_scope());
         self
     }
 
@@ -739,6 +742,7 @@ impl Compiler {
         &self.device
     }
 
+    /// This compiler's cache counters, read from its telemetry cells.
     pub fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
@@ -961,12 +965,17 @@ impl Compiler {
     ) -> CompileTicket {
         let defines = defines.borrow();
         let key = self.cache_key(source, defines);
-        background::spawn(self, self.async_stats.clone(), key, source, defines)
+        let cells = self
+            .async_cells
+            .get_or_init(|| Arc::new(background::AsyncCells::new()));
+        background::spawn(self, cells.clone(), key, source, defines)
     }
 
     /// Async-tier counters for this compiler (exact; see [`AsyncStats`]).
     pub fn async_stats(&self) -> AsyncStats {
-        self.async_stats.snapshot()
+        self.async_cells
+            .get()
+            .map_or_else(AsyncStats::default, |c| c.stats())
     }
 
     fn compile_uncached(&self, source: &str, defines: &Defines) -> Result<Binary, CompileError> {
@@ -1314,7 +1323,7 @@ mod tests {
             .snapshot();
         assert_eq!(svc.count, 2);
         assert_eq!(svc.sum, generic.sum + spec.sum);
-        // Scoped cells mirror the compiler's own stats exactly.
+        // The compiler's stats read its own cells under this scope.
         let stats = c.cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 2);

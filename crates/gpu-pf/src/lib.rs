@@ -78,6 +78,12 @@ use std::time::Instant;
 /// ([`Pipeline::set_label`]) publish through a
 /// `{pipeline=<label>}` scope whose cells roll up exactly into the same
 /// globals, so fleet-wide aggregates are unchanged by labeling.
+///
+/// The promotion and integrity counters are this pipeline's own
+/// unregistered [`ks_trace::Counter::leaf`] cells chained onto those
+/// handles: [`PromotionStats`] and [`IntegrityStats`] are read-only
+/// views over them, so two unlabeled pipelines sharing the globals
+/// still each read only their own events.
 struct PfMetrics {
     iterations: ks_trace::Counter,
     refreshes: ks_trace::Counter,
@@ -103,25 +109,33 @@ struct PfMetrics {
 }
 
 impl PfMetrics {
-    fn from_scope(s: &ks_trace::Scope<'static>) -> PfMetrics {
+    /// Handles under scope `s`; the per-pipeline leaves carry `prev`'s
+    /// totals, so relabeling never resets the stats views.
+    fn from_scope(s: &ks_trace::Scope<'static>, prev: Option<&PfMetrics>) -> PfMetrics {
+        use ks_trace::{names, Counter};
+        let leaf = |name: &str, old: fn(&PfMetrics) -> &Counter| {
+            Counter::leaf(Some(&s.counter(name)), prev.map(old))
+        };
         PfMetrics {
-            iterations: s.counter(ks_trace::names::PF_ITERATIONS),
-            refreshes: s.counter(ks_trace::names::PF_REFRESHES),
-            fallback_generic: s.counter(ks_trace::names::PF_FALLBACK_GENERIC),
-            fallback_last_good: s.counter(ks_trace::names::PF_FALLBACK_LAST_GOOD),
-            launch_retries: s.counter(ks_trace::names::PF_LAUNCH_RETRIES),
-            promotions: s.counter(ks_trace::names::PF_PROMOTIONS),
-            promotions_failed: s.counter(ks_trace::names::PF_PROMOTIONS_FAILED),
-            promotions_superseded: s.counter(ks_trace::names::PF_PROMOTIONS_SUPERSEDED),
-            promotion_latency_us: s.histogram(ks_trace::names::PF_PROMOTION_LATENCY_US),
-            iteration_us: s.histogram(ks_trace::names::PF_ITERATION_US),
-            integrity_checks: s.counter(ks_trace::names::PF_INTEGRITY_CHECKS),
-            integrity_witness: s.counter(ks_trace::names::PF_INTEGRITY_WITNESS),
-            integrity_violations: s.counter(ks_trace::names::PF_INTEGRITY_VIOLATIONS),
-            integrity_transient: s.counter(ks_trace::names::PF_INTEGRITY_TRANSIENT),
-            integrity_corrupt: s.counter(ks_trace::names::PF_INTEGRITY_CORRUPT),
-            integrity_recovered: s.counter(ks_trace::names::PF_INTEGRITY_RECOVERED),
-            integrity_reexecs: s.counter(ks_trace::names::PF_INTEGRITY_REEXECS),
+            iterations: s.counter(names::PF_ITERATIONS),
+            refreshes: s.counter(names::PF_REFRESHES),
+            fallback_generic: s.counter(names::PF_FALLBACK_GENERIC),
+            fallback_last_good: s.counter(names::PF_FALLBACK_LAST_GOOD),
+            launch_retries: s.counter(names::PF_LAUNCH_RETRIES),
+            promotions: leaf(names::PF_PROMOTIONS, |m| &m.promotions),
+            promotions_failed: leaf(names::PF_PROMOTIONS_FAILED, |m| &m.promotions_failed),
+            promotions_superseded: leaf(names::PF_PROMOTIONS_SUPERSEDED, |m| {
+                &m.promotions_superseded
+            }),
+            promotion_latency_us: s.histogram(names::PF_PROMOTION_LATENCY_US),
+            iteration_us: s.histogram(names::PF_ITERATION_US),
+            integrity_checks: leaf(names::PF_INTEGRITY_CHECKS, |m| &m.integrity_checks),
+            integrity_witness: leaf(names::PF_INTEGRITY_WITNESS, |m| &m.integrity_witness),
+            integrity_violations: leaf(names::PF_INTEGRITY_VIOLATIONS, |m| &m.integrity_violations),
+            integrity_transient: leaf(names::PF_INTEGRITY_TRANSIENT, |m| &m.integrity_transient),
+            integrity_corrupt: leaf(names::PF_INTEGRITY_CORRUPT, |m| &m.integrity_corrupt),
+            integrity_recovered: leaf(names::PF_INTEGRITY_RECOVERED, |m| &m.integrity_recovered),
+            integrity_reexecs: leaf(names::PF_INTEGRITY_REEXECS, |m| &m.integrity_reexecs),
         }
     }
 }
@@ -347,9 +361,9 @@ pub struct IntegrityViolation {
     pub recovered: bool,
 }
 
-/// Per-pipeline integrity accounting. The same events appear on the
-/// `gpu_pf.integrity.*` registry counters (globally and under the
-/// pipeline's label scope).
+/// Per-pipeline integrity accounting: a read-only view over the
+/// pipeline's own cells, which chain into the `gpu_pf.integrity.*`
+/// registry counters (globally and under the pipeline's label scope).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IntegrityStats {
     /// Executions that ran with integrity checking active.
@@ -376,9 +390,9 @@ pub enum RefreshMode {
     /// module holds its exact specialized binary.
     #[default]
     Blocking,
-    /// Tiered execution: `refresh()` binds each dirty module to a
-    /// servable binary immediately (the generic, define-free variant —
-    /// or the previous binary if one exists) and enqueues the
+    /// Tiered execution: `refresh()` binds each dirty module to its
+    /// generic, define-free binary immediately (a previous
+    /// specialization would serve stale macro values) and enqueues the
     /// specialized compile on the background tier. The module is
     /// hot-swapped to the specialized binary when its
     /// [`CompileTicket`] resolves; in-flight launches keep the binary
@@ -404,8 +418,9 @@ pub enum Tier {
     Failed,
 }
 
-/// Per-pipeline promotion accounting (tiered mode). The same events
-/// appear on the `gpu_pf.promotions*` registry counters.
+/// Per-pipeline promotion accounting (tiered mode): a read-only view
+/// over the pipeline's own cells, which chain into the
+/// `gpu_pf.promotions*` registry counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PromotionStats {
     /// Modules hot-swapped to their specialized binary.
@@ -579,12 +594,10 @@ pub struct Pipeline {
     pub reports: Vec<LaunchReport>,
     degradations: Vec<Degradation>,
     refresh_mode: RefreshMode,
-    promotion_stats: PromotionStats,
     /// Output-integrity checking, off by default ([`Pipeline::set_integrity`]).
     integrity: Option<IntegrityConfig>,
     /// Integrity-checked executions so far — the witness-period clock.
     integrity_seq: u64,
-    integrity_stats: IntegrityStats,
     violations: Vec<IntegrityViolation>,
     /// Pinned golden checksums by exec label ([`Pipeline::expect_checksum`]).
     golden: BTreeMap<String, String>,
@@ -617,14 +630,12 @@ impl Pipeline {
             reports: Vec::new(),
             degradations: Vec::new(),
             refresh_mode: RefreshMode::Blocking,
-            promotion_stats: PromotionStats::default(),
             integrity: None,
             integrity_seq: 0,
-            integrity_stats: IntegrityStats::default(),
             violations: Vec::new(),
             golden: BTreeMap::new(),
             observed_checksums: BTreeMap::new(),
-            metrics: PfMetrics::from_scope(&scope),
+            metrics: PfMetrics::from_scope(&scope, None),
             scope,
             label: None,
         }
@@ -635,10 +646,12 @@ impl Pipeline {
     /// the global `gpu_pf.*` aggregates, so labeling changes nothing
     /// for fleet-wide readers; per-pipeline windows and dwell
     /// histograms become separable. Call before `refresh()` — metrics
-    /// already published stay on the previous scope.
+    /// already published stay on the previous scope, while
+    /// [`Pipeline::promotion_stats`] and [`Pipeline::integrity_stats`]
+    /// keep their totals.
     pub fn set_label(&mut self, label: &str) {
         self.scope = ks_trace::registry().scoped(&[("pipeline", label)]);
-        self.metrics = PfMetrics::from_scope(&self.scope);
+        self.metrics = PfMetrics::from_scope(&self.scope, Some(&self.metrics));
         self.label = Some(label.to_string());
     }
 
@@ -730,10 +743,19 @@ impl Pipeline {
         self.integrity
     }
 
-    /// Per-pipeline integrity accounting (mirrors the
-    /// `gpu_pf.integrity.*` counters under this pipeline's scope).
+    /// Per-pipeline integrity accounting, read from this pipeline's
+    /// cells (the ones its `gpu_pf.integrity.*` publishes go through).
     pub fn integrity_stats(&self) -> IntegrityStats {
-        self.integrity_stats
+        let m = &self.metrics;
+        IntegrityStats {
+            checks: m.integrity_checks.get(),
+            witness_launches: m.integrity_witness.get(),
+            violations: m.integrity_violations.get(),
+            transient_flips: m.integrity_transient.get(),
+            corrupt_binaries: m.integrity_corrupt.get(),
+            recovered: m.integrity_recovered.get(),
+            reexecutions: m.integrity_reexecs.get(),
+        }
     }
 
     /// Every detected integrity violation (oldest first).
@@ -803,8 +825,10 @@ impl Pipeline {
             })
             .count() as u64;
         PromotionStats {
+            promoted: self.metrics.promotions.get(),
+            failed: self.metrics.promotions_failed.get(),
+            superseded: self.metrics.promotions_superseded.get(),
             pending,
-            ..self.promotion_stats
         }
     }
 
@@ -1441,13 +1465,12 @@ impl Pipeline {
         Ok(())
     }
 
-    /// Tiered module refresh: bind a servable binary *now* — the
-    /// generic, define-free variant, or whatever the module already
-    /// holds — and enqueue the specialized compile on the background
-    /// tier. An in-flight promotion for this module is superseded
-    /// (cancelled and its result discarded): the parameters it compiled
-    /// under are stale, and hot-swapping its binary in would silently
-    /// pin old macro values.
+    /// Tiered module refresh: bind the generic, define-free binary
+    /// *now* and enqueue the specialized compile on the background
+    /// tier. A previous specialization is never kept: it bakes in the
+    /// old macro values. An in-flight promotion for this module is
+    /// superseded (cancelled and its result discarded) for the same
+    /// reason.
     fn refresh_module_tiered(
         &mut self,
         i: usize,
@@ -1463,22 +1486,21 @@ impl Pipeline {
         if let Some(stale) = pending.take() {
             stale.ticket.cancel();
             self.metrics.promotions_superseded.inc();
-            self.promotion_stats.superseded += 1;
             self.log.line_with(|| {
                 format!("module[{i}]: superseded in-flight promotion (parameters re-dirtied)")
             });
         }
-        let fallback = if binary.is_some() {
-            // Keep serving whatever the module already holds (a stale
-            // specialization, or the generic bound on a prior refresh).
+        let fallback = if binary.as_ref().is_some_and(|b| b.defines.is_empty()) {
+            // Already serving the generic: keep it.
             FallbackKind::LastKnownGood
         } else {
-            // First refresh: the generic binary is the only thing that
-            // can serve the first launch. Its compile is the one
-            // blocking cost the tiered path pays — once, shared across
-            // every variant of this source via the cache. If even the
-            // generic fails there is nothing servable: fail the
-            // refresh, exactly like the blocking path with no fallback.
+            // The generic binary reads every macro from its runtime
+            // argument, so it is the only binary that is correct for
+            // the new parameters. Its compile is the one blocking cost
+            // the tiered path pays — once, shared across every variant
+            // of this source via the cache. If even the generic fails
+            // there is nothing servable: fail the refresh, exactly like
+            // the blocking path with no fallback.
             let generic = self
                 .compiler
                 .compile(source, Defines::new())
@@ -1551,7 +1573,6 @@ impl Pipeline {
                     self.metrics
                         .promotion_latency_us
                         .record_duration_us(p.started.elapsed());
-                    self.promotion_stats.promoted += 1;
                     // Span covering spawn → hot-swap: the window the
                     // module served its interim tier.
                     ks_trace::complete_span("tier_swap", p.started);
@@ -1570,7 +1591,6 @@ impl Pipeline {
                     *degraded = true;
                     self.record_tier_transition(i, Tier::Failed);
                     self.metrics.promotions_failed.inc();
-                    self.promotion_stats.failed += 1;
                     match p.fallback {
                         FallbackKind::Generic => self.metrics.fallback_generic.inc(),
                         FallbackKind::LastKnownGood => self.metrics.fallback_last_good.inc(),
@@ -2164,7 +2184,6 @@ impl Pipeline {
         report: LaunchReport,
     ) -> Result<LaunchReport, PfError> {
         self.metrics.integrity_checks.inc();
-        self.integrity_stats.checks += 1;
         self.integrity_seq += 1;
         let post = self.read_bufs(bufs)?;
         let checksum = checksum_hex(&post);
@@ -2194,7 +2213,6 @@ impl Pipeline {
         };
         let gkey = self.variant_key(source, &generic.defines);
         self.metrics.integrity_witness.inc();
-        self.integrity_stats.witness_launches += 1;
         self.write_bufs(bufs, pre)?;
         self.launch_with_retry(
             &generic,
@@ -2226,7 +2244,6 @@ impl Pipeline {
         // the inputs and re-run the *same* specialized binary; runs that
         // agree with the witness exonerate the binary.
         self.metrics.integrity_violations.inc();
-        self.integrity_stats.violations += 1;
         let kind = if golden_mismatch {
             ViolationKind::GoldenMismatch
         } else {
@@ -2237,7 +2254,6 @@ impl Pipeline {
             self.write_bufs(bufs, pre)?;
             self.launch_with_retry(bin, kernel, dims, kargs, bound.lo64, &bound.defines, label)?;
             self.metrics.integrity_reexecs.inc();
-            self.integrity_stats.reexecutions += 1;
             if self.read_bufs(bufs)? == witness {
                 votes_agree += 1;
             }
@@ -2250,7 +2266,6 @@ impl Pipeline {
         match verdict {
             Verdict::TransientFlip => {
                 self.metrics.integrity_transient.inc();
-                self.integrity_stats.transient_flips += 1;
             }
             Verdict::CorruptBinary => {
                 // Quarantine the variant through the degradation ladder:
@@ -2258,7 +2273,6 @@ impl Pipeline {
                 // degraded (the next refresh retries the specialization),
                 // and the degradation record names the convicted variant.
                 self.metrics.integrity_corrupt.inc();
-                self.integrity_stats.corrupt_binaries += 1;
                 self.metrics.fallback_generic.inc();
                 let Resource::Module {
                     binary, degraded, ..
@@ -2295,12 +2309,10 @@ impl Pipeline {
         let final_report =
             self.launch_with_retry(&rbin, kernel, dims, kargs, rkey.lo64, &rkey.defines, label)?;
         self.metrics.integrity_reexecs.inc();
-        self.integrity_stats.reexecutions += 1;
         let final_out = self.read_bufs(bufs)?;
         let recovered = final_out == witness;
         if recovered {
             self.metrics.integrity_recovered.inc();
-            self.integrity_stats.recovered += 1;
         }
         self.observed_checksums
             .insert(label.to_string(), checksum_hex(&final_out));
@@ -3269,6 +3281,26 @@ mod tests {
         let _guard = GLOBAL_PLAN.lock().unwrap_or_else(|e| e.into_inner());
         let c = Arc::new(Compiler::new(DeviceConfig::tesla_c1060()));
         let (mut p, factor, host_in, host_out) = scale_pipeline(c);
+        // A label no other test uses keeps this pipeline's registry
+        // cells private, so their deltas must equal its stats exactly.
+        p.set_label("witness-flip");
+        let cell_names: Vec<String> = [
+            ks_trace::names::PF_INTEGRITY_CHECKS,
+            ks_trace::names::PF_INTEGRITY_WITNESS,
+            ks_trace::names::PF_INTEGRITY_VIOLATIONS,
+            ks_trace::names::PF_INTEGRITY_TRANSIENT,
+            ks_trace::names::PF_INTEGRITY_CORRUPT,
+            ks_trace::names::PF_INTEGRITY_RECOVERED,
+            ks_trace::names::PF_INTEGRITY_REEXECS,
+        ]
+        .iter()
+        .map(|name| p.metric_name(name))
+        .collect();
+        let integrity_cells = || -> Vec<u64> {
+            let reg = ks_trace::registry();
+            cell_names.iter().map(|n| reg.counter_value(n)).collect()
+        };
+        let cells_before = integrity_cells();
         // A factor no other test uses keeps this variant's cache key —
         // and therefore the keyed flip rule — unique to this test.
         p.set_int(factor, 13);
@@ -3313,6 +3345,24 @@ mod tests {
         assert_eq!(s.corrupt_binaries, 0);
         assert_eq!(s.recovered, 1);
         assert_eq!(s.reexecutions, 4); // 3 votes + 1 recovery
+        let deltas: Vec<u64> = integrity_cells()
+            .iter()
+            .zip(&cells_before)
+            .map(|(a, b)| a - b)
+            .collect();
+        assert_eq!(
+            deltas,
+            [
+                s.checks,
+                s.witness_launches,
+                s.violations,
+                s.transient_flips,
+                s.corrupt_binaries,
+                s.recovered,
+                s.reexecutions
+            ],
+            "registry deltas must equal IntegrityStats"
+        );
         let v = &p.integrity_violations()[0];
         assert_eq!(v.kind, ViolationKind::WitnessMismatch);
         assert_eq!(v.verdict, Verdict::TransientFlip);
@@ -3476,7 +3526,7 @@ mod tests {
     #[test]
     fn tiered_refresh_serves_generic_immediately_then_promotes() {
         let c = Arc::new(Compiler::new(DeviceConfig::tesla_c1060()));
-        let (mut p, _factor, host_in, host_out) = scale_pipeline(c.clone());
+        let (mut p, factor, host_in, host_out) = scale_pipeline(c.clone());
         p.set_refresh_mode(RefreshMode::Tiered);
         let m = ResId(4); // the module created by scale_pipeline
         assert_eq!(p.module_tier(m), Some(Tier::Generic));
@@ -3514,6 +3564,17 @@ mod tests {
         let stats = p.promotion_stats();
         assert_eq!((stats.promoted, stats.failed, stats.pending), (1, 0, 0));
         assert!(p.degradations().is_empty());
+
+        // A parameter change rebinds the generic before any run: the
+        // FACTOR=3 specialization would keep multiplying by 3.
+        p.set_int(factor, 5);
+        p.refresh().unwrap();
+        assert!(
+            Arc::ptr_eq(p.kernel_binary(kernel), &generic),
+            "a re-dirtied module must serve the generic, not its stale specialization"
+        );
+        p.run(1).unwrap();
+        assert_eq!(p.host_f32(host_out)[10], 50.0);
     }
 
     /// Regression: re-dirtying a module while its promotion is in
@@ -3717,5 +3778,12 @@ mod tests {
             .histogram("gpu_pf.tier.dwell_us.promoting{module=4,pipeline=dwell-test}")
             .snapshot();
         assert_eq!(per_module.count, 1);
+
+        // Relabeling moves later publishes to the new scope but never
+        // resets the pipeline's own stats views.
+        let promos = p.promotion_stats();
+        assert_eq!(promos.promoted, 1);
+        p.set_label("dwell-test-relabeled");
+        assert_eq!(p.promotion_stats(), promos);
     }
 }

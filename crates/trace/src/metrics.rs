@@ -32,23 +32,37 @@ impl Counter {
         }))
     }
 
+    /// An unregistered per-instance cell chained to `parent` (a scope
+    /// or global handle; `None` for a standalone cell). A publish lands
+    /// here and in every cell up `parent`'s chain, so two instances
+    /// sharing one labeled or global cell still each read only their
+    /// own events. The registry never sees the leaf, so its name set
+    /// and values are unchanged. `carry` seeds the leaf with a previous
+    /// leaf's total without republishing it: an instance that moves to
+    /// a new scope keeps its running count.
+    pub fn leaf(parent: Option<&Counter>, carry: Option<&Counter>) -> Counter {
+        Counter(Arc::new(CounterInner {
+            value: AtomicU64::new(carry.map_or(0, Counter::get)),
+            parent: parent.cloned(),
+        }))
+    }
+
     pub fn inc(&self) {
         self.add(1);
     }
 
+    /// Publish root-first: every aggregate is bumped (Release) before
+    /// the cells below it, so a reader that loads a cell with Acquire
+    /// and then its aggregate never sees the cell ahead.
     pub fn add(&self, n: u64) {
-        let mut cur = self;
-        loop {
-            cur.0.value.fetch_add(n, Ordering::Relaxed);
-            match &cur.0.parent {
-                Some(p) => cur = p,
-                None => break,
-            }
+        if let Some(p) = &self.0.parent {
+            p.add(n);
         }
+        self.0.value.fetch_add(n, Ordering::Release);
     }
 
     pub fn get(&self) -> u64 {
-        self.0.value.load(Ordering::Relaxed)
+        self.0.value.load(Ordering::Acquire)
     }
 }
 
@@ -144,21 +158,22 @@ impl Histogram {
         lower + ((1u64 << (msb - SUB_BITS)) - 1)
     }
 
+    /// Record root-first, like [`Counter::add`]: the aggregate's
+    /// `count` is bumped (Release) before any child's.
     pub fn record(&self, v: u64) {
-        let bucket = Self::bucket_index(v);
-        let mut cur = self;
-        loop {
-            let inner = &cur.0;
-            inner.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-            inner.count.fetch_add(1, Ordering::Relaxed);
-            inner.sum.fetch_add(v, Ordering::Relaxed);
-            inner.min.fetch_min(v, Ordering::Relaxed);
-            inner.max.fetch_max(v, Ordering::Relaxed);
-            match &inner.parent {
-                Some(p) => cur = p,
-                None => break,
-            }
+        self.record_at(Self::bucket_index(v), v);
+    }
+
+    fn record_at(&self, bucket: usize, v: u64) {
+        let inner = &self.0;
+        if let Some(p) = &inner.parent {
+            p.record_at(bucket, v);
         }
+        inner.buckets[bucket].fetch_add(1, Ordering::Relaxed);
+        inner.sum.fetch_add(v, Ordering::Relaxed);
+        inner.min.fetch_min(v, Ordering::Relaxed);
+        inner.max.fetch_max(v, Ordering::Relaxed);
+        inner.count.fetch_add(1, Ordering::Release);
     }
 
     /// Record a `Duration` in whole microseconds.
@@ -167,7 +182,7 @@ impl Histogram {
     }
 
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+        self.0.count.load(Ordering::Acquire)
     }
 
     pub fn sum(&self) -> u64 {
@@ -190,8 +205,8 @@ impl Histogram {
                 return Some(Self::bucket_value(i));
             }
         }
-        // Counts are bumped after the bucket cell under concurrency;
-        // fall back to the recorded max.
+        // Defensive: buckets never lag the count read above (it is
+        // bumped last, with Release), so the ranked bucket exists.
         Some(self.0.max.load(Ordering::Relaxed))
     }
 
@@ -371,29 +386,36 @@ impl Registry {
             .collect()
     }
 
-    /// Consistent point-in-time copy of every registered metric.
+    /// Point-in-time copy of every registered metric, consistent along
+    /// each scope chain: no labeled counter (or histogram count) ever
+    /// exceeds its aggregate, and no sum of sibling cells exceeds
+    /// theirs. Publishes bump aggregates first; the copy reads the
+    /// deepest-labeled cells first, so it sees every event a cell holds
+    /// in that cell's aggregates too. Unrelated metrics may still be
+    /// torn against each other by concurrent publishes.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
-            counters: self
-                .counters
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
+            counters: leaves_first(&self.counters.lock(), Counter::get),
             gauges: self
                 .gauges
                 .lock()
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            histograms: self
-                .histograms
-                .lock()
-                .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
+            histograms: leaves_first(&self.histograms.lock(), Histogram::snapshot),
         }
     }
+}
+
+/// Read every entry of `map` with `read`, deeper-labeled names before
+/// the aggregates they chain into.
+fn leaves_first<M, V>(map: &BTreeMap<String, M>, read: impl Fn(&M) -> V) -> BTreeMap<String, V> {
+    let mut order: Vec<(&String, &M)> = map.iter().collect();
+    order.sort_by_cached_key(|(k, _)| std::cmp::Reverse(crate::parse_scoped_name(k).1.len()));
+    order
+        .into_iter()
+        .map(|(k, m)| (k.clone(), read(m)))
+        .collect()
 }
 
 /// Point-in-time copy of the registry, ready for export or diffing.
@@ -442,6 +464,26 @@ mod tests {
         let g = r.gauge("g");
         g.set(0.75);
         assert_eq!(r.gauge("g").get(), 0.75);
+    }
+
+    #[test]
+    fn instance_leaves_count_their_own_events_and_roll_up() {
+        let r = Registry::new();
+        let global = r.counter("inst");
+        let a = Counter::leaf(Some(&global), None);
+        let b = Counter::leaf(Some(&global), None);
+        a.add(3);
+        b.add(4);
+        a.inc();
+        assert_eq!((a.get(), b.get()), (4, 4));
+        assert_eq!(global.get(), 8);
+        // Leaves are never registered: the name set is unchanged.
+        assert_eq!(r.snapshot().counters.len(), 1);
+        // Re-chaining carries the running total without republishing.
+        let moved = Counter::leaf(Some(&r.counter("other")), Some(&a));
+        moved.inc();
+        assert_eq!(moved.get(), 5);
+        assert_eq!((global.get(), r.counter_value("other")), (8, 1));
     }
 
     #[test]

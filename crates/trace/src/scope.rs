@@ -6,8 +6,9 @@
 //! parent scope's handle and ultimately to the plain, unlabeled global
 //! metric. Every publish walks that chain, so **the sum of the child
 //! scopes equals the global aggregate exactly, by construction**, under
-//! any interleaving — the same discipline the `ks_core.*` counters keep
-//! against their subsystem stats.
+//! any interleaving. Per-instance views (a compiler's `CacheStats`, a
+//! pipeline's `IntegrityStats`) are unregistered [`Counter::leaf`]
+//! cells chained onto these handles, so they count the same publishes.
 //!
 //! ```
 //! use ks_trace::Registry;
@@ -179,9 +180,9 @@ pub fn scoped_counters<'s>(
         .collect()
 }
 
-/// Sum of `base` over the single-label scopes keyed by `label_key` —
-/// the roll-up parity probe's left-hand side. Nested (multi-label)
-/// cells are excluded so nothing is double-counted.
+/// Sum of `base` over the single-label scopes keyed by `label_key`,
+/// which a snapshot never shows above the global `base`. Nested
+/// (multi-label) cells are excluded so nothing is double-counted.
 pub fn scoped_counter_sum(snapshot: &MetricsSnapshot, base: &str, label_key: &str) -> u64 {
     scoped_counters(snapshot, base)
         .into_iter()

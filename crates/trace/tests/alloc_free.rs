@@ -4,19 +4,32 @@
 //! atomics only, so "always-on counters" cannot become an allocation
 //! tax on the compile or pipeline hot paths.
 //!
-//! This lives in its own integration-test binary so the process-wide
-//! allocator counter sees only this test's traffic.
+//! The allocator counts per thread, so tests running concurrently in
+//! this binary (and the harness itself) never leak allocations into
+//! each other's counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_alloc() {
+    // `try_with`: an allocation during thread teardown must not panic.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made by the calling thread so far.
+fn thread_allocs() -> u64 {
+    ALLOCS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.alloc(layout) }
     }
 
@@ -25,7 +38,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count_alloc();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -53,14 +66,14 @@ fn publishing_through_warm_handles_is_allocation_free() {
 
     // Steady state: counters, gauges, histograms (three-level scoped
     // chains included) and disabled spans are allocation-free.
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = thread_allocs();
     for i in 0..OPS {
         counter.inc();
         gauge.set(i as f64);
         hist.record(1 + (i % 10_000));
         let _span = ks_trace::span("disabled-hot-path");
     }
-    let delta = ALLOCS.load(Ordering::Relaxed) - before;
+    let delta = thread_allocs() - before;
     assert_eq!(
         delta, 0,
         "hot-path publishes allocated {delta} times over {OPS} iterations"
