@@ -45,46 +45,52 @@ impl Default for CodegenOptions {
     }
 }
 
-/// Run the HIR pipeline (fold → unroll → fold → scalarize → fold) and lower
-/// to an IR module.
+/// One HIR transform stage: a name for validators and the transform.
+type Stage = (&'static str, fn(&mut Program, &CodegenOptions));
+
+/// The HIR pipeline, in order: fold → unroll → fold → scalarize → fold.
+const STAGES: [Stage; 5] = [
+    ("consteval", |p, _| each(p, consteval::fold_func)),
+    ("unroll", |p, o| {
+        each(p, |k| unroll::unroll_func(k, o.unroll_limit))
+    }),
+    ("consteval", |p, _| each(p, consteval::fold_func)),
+    ("scalarize", |p, o| {
+        each(p, |k| scalarize::scalarize_func(k, o.scalarize_cap))
+    }),
+    ("consteval", |p, _| each(p, consteval::fold_func)),
+];
+
+/// Run the HIR pipeline and lower the result to an IR module, once.
 pub fn compile(program: &Program, opts: &CodegenOptions) -> Result<ks_ir::Module, String> {
-    compile_observed(program, opts, &mut |_, _| {})
+    if !opts.optimize {
+        return lower::lower_program(program);
+    }
+    let mut prog = program.clone();
+    for (_, stage) in STAGES {
+        stage(&mut prog, opts);
+    }
+    lower::lower_program(&prog)
 }
 
 /// Like [`compile`], but lowers and reports the module after each HIR
 /// transform stage, so a validator can compare consecutive snapshots.
 /// The observer first sees `("baseline", <unoptimized lowering>)`, then one
 /// call per stage that changed the program; the returned module is always
-/// the final stage's lowering.
+/// the final stage's lowering, identical to [`compile`]'s.
 pub fn compile_observed(
     program: &Program,
     opts: &CodegenOptions,
     obs: &mut dyn FnMut(&'static str, &ks_ir::Module),
 ) -> Result<ks_ir::Module, String> {
-    let mut prog = program.clone();
     if !opts.optimize {
-        return lower::lower_program(&prog);
+        return lower::lower_program(program);
     }
+    let mut prog = program.clone();
     let mut module = lower::lower_program(&prog)?;
     obs("baseline", &module);
-    type Stage<'a> = (&'static str, &'a dyn Fn(&mut Program));
-    let stages: [Stage; 5] = [
-        ("consteval", &|p| each(p, consteval::fold_func)),
-        ("unroll", &|p| {
-            for k in &mut p.kernels {
-                unroll::unroll_func(k, opts.unroll_limit);
-            }
-        }),
-        ("consteval", &|p| each(p, consteval::fold_func)),
-        ("scalarize", &|p| {
-            for k in &mut p.kernels {
-                scalarize::scalarize_func(k, opts.scalarize_cap);
-            }
-        }),
-        ("consteval", &|p| each(p, consteval::fold_func)),
-    ];
-    for (name, stage) in stages {
-        stage(&mut prog);
+    for (name, stage) in STAGES {
+        stage(&mut prog, opts);
         let next = lower::lower_program(&prog)?;
         if next != module {
             obs(name, &next);
@@ -94,7 +100,7 @@ pub fn compile_observed(
     Ok(module)
 }
 
-fn each(p: &mut Program, f: impl Fn(&mut ks_lang::hir::HFunc)) {
+fn each(p: &mut Program, mut f: impl FnMut(&mut ks_lang::hir::HFunc)) {
     for k in &mut p.kernels {
         f(k);
     }

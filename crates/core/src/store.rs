@@ -29,7 +29,7 @@ pub const BINARY_SCHEMA_VERSION: u32 = 1;
 
 /// Canonical description of the fixed pass pipeline, folded into every
 /// cache-key fingerprint. The HIR stage list mirrors
-/// `ks_codegen::compile_observed` and the IR pass list mirrors
+/// `ks_codegen`'s stage table and the IR pass list mirrors
 /// `ks_opt::optimize_with_observer`; reordering, adding, or removing a
 /// stage must change this string so stale artifacts are invalidated.
 /// (Per-pass *toggles* are fingerprinted separately via `OptConfig` /

@@ -3,81 +3,87 @@
 
 use crate::inst::{Inst, Operand, Terminator};
 use crate::module::{Function, Module};
-use std::fmt::Write;
+use std::fmt::{self, Write};
 
-fn op(o: &Operand) -> String {
-    match o {
-        Operand::Reg(r) => r.to_string(),
-        Operand::ImmI(v) => v.to_string(),
-        Operand::ImmF(v) => format!("0f{:08X} /*{v}*/", v.to_bits()),
+/// An operand in PTX syntax, formatted in place.
+struct Op<'a>(&'a Operand);
+
+impl fmt::Display for Op<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self.0 {
+            Operand::Reg(r) => write!(f, "{r}"),
+            Operand::ImmI(v) => write!(f, "{v}"),
+            Operand::ImmF(v) => write!(f, "0f{:08X} /*{v}*/", v.to_bits()),
+        }
     }
 }
 
 /// Render a single instruction as a PTX-flavoured line.
 pub fn print_inst(i: &Inst) -> String {
-    match i {
-        Inst::Mov { ty, dst, src } => format!("mov.{ty} \t{dst}, {};", op(src)),
+    let mut s = String::new();
+    write_inst(&mut s, i);
+    s
+}
+
+/// Append [`print_inst`]'s rendering of `i` to `s`.
+fn write_inst(s: &mut String, i: &Inst) {
+    let _ = match i {
+        Inst::Mov { ty, dst, src } => write!(s, "mov.{ty} \t{dst}, {};", Op(src)),
         Inst::Bin {
             op: o,
             ty,
             dst,
             a,
             b,
-        } => {
-            format!("{}.{ty} \t{dst}, {}, {};", o.mnemonic(), op(a), op(b))
-        }
-        Inst::Un { op: o, ty, dst, a } => format!("{}.{ty} \t{dst}, {};", o.mnemonic(), op(a)),
+        } => write!(s, "{}.{ty} \t{dst}, {}, {};", o.mnemonic(), Op(a), Op(b)),
+        Inst::Un { op: o, ty, dst, a } => write!(s, "{}.{ty} \t{dst}, {};", o.mnemonic(), Op(a)),
         Inst::Mad { ty, dst, a, b, c } => {
-            format!("mad.lo.{ty} \t{dst}, {}, {}, {};", op(a), op(b), op(c))
+            write!(s, "mad.lo.{ty} \t{dst}, {}, {}, {};", Op(a), Op(b), Op(c))
         }
-        Inst::Setp { cmp, ty, dst, a, b } => {
-            format!(
-                "setp.{}.{ty} \t{dst}, {}, {};",
-                cmp.mnemonic(),
-                op(a),
-                op(b)
-            )
-        }
+        Inst::Setp { cmp, ty, dst, a, b } => write!(
+            s,
+            "setp.{}.{ty} \t{dst}, {}, {};",
+            cmp.mnemonic(),
+            Op(a),
+            Op(b)
+        ),
         Inst::Selp {
             ty,
             dst,
             a,
             b,
             pred,
-        } => {
-            format!("selp.{ty} \t{dst}, {}, {}, {pred};", op(a), op(b))
-        }
+        } => write!(s, "selp.{ty} \t{dst}, {}, {}, {pred};", Op(a), Op(b)),
         Inst::Cvt {
             dst_ty,
             src_ty,
             dst,
             src,
-        } => {
-            format!("cvt.{dst_ty}.{src_ty} \t{dst}, {};", op(src))
-        }
+        } => write!(s, "cvt.{dst_ty}.{src_ty} \t{dst}, {};", Op(src)),
         Inst::Ld {
             space,
             ty,
             dst,
             addr,
-        } => format!("ld.{space}.{ty} \t{dst}, {addr};"),
+        } => write!(s, "ld.{space}.{ty} \t{dst}, {addr};"),
         Inst::St {
             space,
             ty,
             addr,
             src,
-        } => format!("st.{space}.{ty} \t{addr}, {};", op(src)),
-        Inst::Bar => "bar.sync \t0;".to_string(),
-        Inst::Special { dst, reg } => format!("mov.u32 \t{dst}, {};", reg.name()),
+        } => write!(s, "st.{space}.{ty} \t{addr}, {};", Op(src)),
+        Inst::Bar => write!(s, "bar.sync \t0;"),
+        Inst::Special { dst, reg } => write!(s, "mov.u32 \t{dst}, {};", reg.name()),
         Inst::Tex { ty, dst, tex, idx } => {
-            format!("tex.1d.{ty} \t{dst}, tex{tex}, {};", op(idx))
+            write!(s, "tex.1d.{ty} \t{dst}, tex{tex}, {};", Op(idx))
         }
-    }
+    };
 }
 
-fn print_term(t: &Terminator) -> String {
-    match t {
-        Terminator::Br { target } => format!("bra \t${target};"),
+/// Append the terminator's lines, each tab-indented and newline-ended.
+fn write_term(s: &mut String, t: &Terminator) {
+    let _ = match t {
+        Terminator::Br { target } => writeln!(s, "\tbra \t${target};"),
         Terminator::CondBr {
             pred,
             negate,
@@ -85,23 +91,27 @@ fn print_term(t: &Terminator) -> String {
             else_t,
         } => {
             let neg = if *negate { "!" } else { "" };
-            format!("@{neg}{pred} bra \t${then_t};\nbra \t${else_t};")
+            writeln!(s, "\t@{neg}{pred} bra \t${then_t};\n\tbra \t${else_t};")
         }
-        Terminator::Ret => "ret;".to_string(),
-    }
+        Terminator::Ret => writeln!(s, "\tret;"),
+    };
 }
 
 /// Render a function in PTX-like syntax.
 pub fn print_function(f: &Function) -> String {
     let mut s = String::new();
-    let params: Vec<String> = f
-        .params
-        .iter()
-        .map(|p| format!(".param .{} {}", p.ty, p.name))
-        .collect();
-    let _ = writeln!(s, ".entry {} ({})", f.name, params.join(", "));
-    let _ = writeln!(s, "{{");
-    let _ = writeln!(s, "\t.reg \t%r<{}>;", f.num_vregs());
+    write_function(&mut s, f);
+    s
+}
+
+/// Append [`print_function`]'s rendering of `f` to `s`.
+fn write_function(s: &mut String, f: &Function) {
+    let _ = write!(s, ".entry {} (", f.name);
+    for (k, p) in f.params.iter().enumerate() {
+        let sep = if k > 0 { ", " } else { "" };
+        let _ = write!(s, "{sep}.param .{} {}", p.ty, p.name);
+    }
+    let _ = writeln!(s, ")\n{{\n\t.reg \t%r<{}>;", f.num_vregs());
     for sh in &f.shared {
         let _ = writeln!(s, "\t.shared .align 4 .b8 {}[{}];", sh.name, sh.size_bytes);
     }
@@ -111,14 +121,13 @@ pub fn print_function(f: &Function) -> String {
     for b in &f.blocks {
         let _ = writeln!(s, "${}:", b.id);
         for i in &b.insts {
-            let _ = writeln!(s, "\t{}", print_inst(i));
+            s.push('\t');
+            write_inst(s, i);
+            s.push('\n');
         }
-        for line in print_term(&b.term).lines() {
-            let _ = writeln!(s, "\t{line}");
-        }
+        write_term(s, &b.term);
     }
-    let _ = writeln!(s, "}}");
-    s
+    s.push_str("}\n");
 }
 
 /// Render a whole module.
@@ -130,7 +139,7 @@ pub fn print_module(m: &Module) -> String {
     }
     for f in &m.functions {
         s.push('\n');
-        s.push_str(&print_function(f));
+        write_function(&mut s, f);
     }
     s
 }

@@ -5,10 +5,9 @@
 //! the same state space.
 
 use ks_ir::{Function, Inst, Operand, Space, VReg};
-use std::collections::HashMap;
 
-/// A hashable key describing a pure computation.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// A key describing a pure computation.
+#[derive(Debug, Clone, PartialEq, Eq)]
 enum Key {
     Bin(ks_ir::BinOp, ks_ir::Ty, OpKey, OpKey),
     Un(ks_ir::UnOp, ks_ir::Ty, OpKey),
@@ -21,7 +20,7 @@ enum Key {
     Tex(u32, ks_ir::Ty, OpKey),
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum OpKey {
     Reg(VReg),
     ImmI(i64),
@@ -97,69 +96,90 @@ fn key_uses(k: &Key, mut f: impl FnMut(VReg)) {
 /// registers exactly like this.
 const REUSE_WINDOW: usize = 24;
 
+/// An available value: `key` is held in `reg`, defined at block position
+/// `at`.
+struct Avail {
+    key: Key,
+    reg: VReg,
+    at: usize,
+}
+
 /// One CSE pass; returns the number of instructions replaced by copies.
+///
+/// The availability table only holds entries inside the reuse window:
+/// an entry older than [`REUSE_WINDOW`] can never be reused (a hit on it
+/// would be re-inserted anyway), so it is dropped. Each position inserts
+/// at most one entry, so lookup and kill scan at most
+/// `REUSE_WINDOW + 1` entries, and a pass is linear in block length.
 pub fn run(f: &mut Function) -> usize {
     let mut replaced = 0;
+    // Ordered by `at`; keys are unique (a key is inserted only on a miss).
+    let mut avail: Vec<Avail> = Vec::with_capacity(REUSE_WINDOW + 1);
     for b in &mut f.blocks {
-        // value key -> (register holding it, instruction position defined)
-        let mut avail: HashMap<Key, (VReg, usize)> = HashMap::new();
+        avail.clear();
         for (pos, i) in b.insts.iter_mut().enumerate() {
+            let expired = avail.partition_point(|e| pos - e.at > REUSE_WINDOW);
+            avail.drain(..expired);
             // Invalidate loads when memory may change.
             match i {
                 Inst::St { space, .. } => {
                     let s = *space;
-                    avail.retain(|k, _| {
+                    avail.retain(|e| {
                         // Texture fetches read global memory: a global
                         // store may alias them (the simulator is
                         // coherent, unlike real texture caches).
-                        !(matches!(k, Key::Ld(sp, ..) if *sp == s)
-                            || (s == Space::Global && matches!(k, Key::Tex(..))))
+                        !(matches!(e.key, Key::Ld(sp, ..) if sp == s)
+                            || (s == Space::Global && matches!(e.key, Key::Tex(..))))
                     });
                 }
                 Inst::Bar => {
                     // A barrier publishes other threads' shared *and*
                     // global (and thus texture-visible) writes.
-                    avail.retain(|k, _| {
-                        !matches!(k, Key::Ld(Space::Shared | Space::Global, ..) | Key::Tex(..))
+                    avail.retain(|e| {
+                        !matches!(
+                            e.key,
+                            Key::Ld(Space::Shared | Space::Global, ..) | Key::Tex(..)
+                        )
                     });
                 }
                 _ => {}
             }
-            let key = key_of(i);
-            let def = i.def();
-            if let (Some(key), Some(dst)) = (key, def) {
-                match avail.get(&key) {
-                    Some(&(prev, at)) if pos - at <= REUSE_WINDOW => {
+            let Some(dst) = i.def() else { continue };
+            if let Some(key) = key_of(i) {
+                match avail.iter().find(|e| e.key == key) {
+                    Some(e) => {
                         let ty = f.vreg_types[dst.0 as usize];
                         *i = Inst::Mov {
                             ty,
                             dst,
-                            src: Operand::Reg(prev),
+                            src: Operand::Reg(e.reg),
                         };
                         replaced += 1;
                     }
-                    _ => {
-                        avail.insert(key, (dst, pos));
+                    None => {
+                        avail.push(Avail {
+                            key,
+                            reg: dst,
+                            at: pos,
+                        });
                     }
                 }
             }
-            // Redefinition kills every expression that used the old value,
-            // and any expression currently cached in this register.
-            if let Some(dst) = i.def() {
-                avail.retain(|k, (v, _)| {
-                    if *v == dst {
-                        // keep only if this very instruction produced it
-                        key_of(i).as_ref() == Some(k)
-                    } else {
-                        let mut uses_dst = false;
-                        key_uses(k, |r| uses_dst |= r == dst);
-                        !uses_dst
-                    }
-                });
-            }
+            // Redefinition kills every expression that used the old value
+            // (including one this instruction just inserted, if it reads
+            // its own destination), and any expression cached in this
+            // register other than the one this instruction produced (the
+            // only entry defined at `pos`).
+            avail.retain(|e| !key_reads(&e.key, dst) && (e.reg != dst || e.at == pos));
         }
     }
     replaced
+}
+
+fn key_reads(k: &Key, r: VReg) -> bool {
+    let mut reads = false;
+    key_uses(k, |u| reads |= u == r);
+    reads
 }
 
 #[cfg(test)]
@@ -238,6 +258,56 @@ mod tests {
         ];
         let mut f = mk(insts, vec![Ty::S32; 3]);
         assert_eq!(run(&mut f), 0);
+    }
+
+    #[test]
+    fn self_update_is_never_available() {
+        // r0 = r0+1; r0 = r0+1  → the second add reads the first's result,
+        // so it is a new value, not a copy of r0.
+        let add = Inst::Bin {
+            op: BinOp::Add,
+            ty: Ty::S32,
+            dst: VReg(0),
+            a: VReg(0).into(),
+            b: Operand::ImmI(1),
+        };
+        let mut f = mk(vec![add.clone(), add], vec![Ty::S32]);
+        assert_eq!(run(&mut f), 0);
+    }
+
+    #[test]
+    fn reuse_stops_at_the_window() {
+        // r1 = r0*3, REUSE_WINDOW unrelated movs, then r0*3 twice: the
+        // first repeat is out of the window and recomputes; the second
+        // reuses that recomputation.
+        let mul = |dst| Inst::Bin {
+            op: BinOp::Mul,
+            ty: Ty::S32,
+            dst: VReg(dst),
+            a: VReg(0).into(),
+            b: Operand::ImmI(3),
+        };
+        let mut insts = vec![mul(1)];
+        for _ in 0..REUSE_WINDOW {
+            insts.push(Inst::Mov {
+                ty: Ty::S32,
+                dst: VReg(2),
+                src: Operand::ImmI(7),
+            });
+        }
+        insts.push(mul(3));
+        insts.push(mul(4));
+        let mut f = mk(insts, vec![Ty::S32; 5]);
+        assert_eq!(run(&mut f), 1);
+        let last = &f.blocks[0].insts;
+        assert!(matches!(last[REUSE_WINDOW + 1], Inst::Bin { .. }));
+        assert!(matches!(
+            last[REUSE_WINDOW + 2],
+            Inst::Mov {
+                src: Operand::Reg(VReg(3)),
+                ..
+            }
+        ));
     }
 
     #[test]

@@ -1,45 +1,68 @@
 //! Dead-code elimination. Removes instructions whose results are never
-//! used and which have no side effects; iterates so chains die completely.
+//! used and which have no side effects, so chains die completely.
 //! In a fully specialized kernel this is the pass that deletes the
 //! parameter-space loads and special-register reads that constant
 //! propagation made redundant.
 
 use ks_ir::Function;
 
+/// No instruction (end of a def chain).
+const NONE: u32 = u32::MAX;
+
 /// Remove dead instructions; returns how many were removed in total.
+///
+/// One use-count pass plus a worklist of registers whose count reached
+/// zero: every side-effect-free definition of such a register dies, and
+/// its operands lose one use each. Removal is monotone (a count never
+/// rises), so this removes exactly the set a rescan-until-stable loop
+/// would, in time linear in the function.
 pub fn run(f: &mut Function) -> usize {
-    let mut removed_total = 0;
-    loop {
-        let mut used = vec![false; f.num_vregs()];
-        for b in &f.blocks {
-            for i in &b.insts {
-                i.for_each_use(|r| used[r.0 as usize] = true);
-            }
-            if let Some(p) = b.term.use_reg() {
-                used[p.0 as usize] = true;
-            }
-        }
-        let mut removed = 0;
-        for b in &mut f.blocks {
-            b.insts.retain(|i| {
-                if i.has_side_effect() {
-                    return true;
-                }
-                match i.def() {
-                    Some(d) if !used[d.0 as usize] => {
-                        removed += 1;
-                        false
-                    }
-                    _ => true,
-                }
-            });
-        }
-        removed_total += removed;
-        if removed == 0 {
-            break;
+    let n = f.num_vregs();
+    let mut uses = vec![0u32; n];
+    // Instructions in program order, with every removable definition of
+    // a register chained from `first_def[reg]` through `next_def`.
+    let insts: Vec<_> = f.blocks.iter().flat_map(|b| &b.insts).collect();
+    let mut first_def = vec![NONE; n];
+    let mut next_def = vec![NONE; insts.len()];
+    for (g, i) in insts.iter().enumerate() {
+        i.for_each_use(|r| uses[r.0 as usize] += 1);
+        if let Some(d) = i.def().filter(|_| !i.has_side_effect()) {
+            next_def[g] = first_def[d.0 as usize];
+            first_def[d.0 as usize] = g as u32;
         }
     }
-    removed_total
+    for b in &f.blocks {
+        if let Some(p) = b.term.use_reg() {
+            uses[p.0 as usize] += 1;
+        }
+    }
+    let mut work: Vec<usize> = (0..n)
+        .filter(|&r| uses[r] == 0 && first_def[r] != NONE)
+        .collect();
+    let mut dead = vec![false; insts.len()];
+    let mut removed = 0;
+    while let Some(r) = work.pop() {
+        let mut g = first_def[r];
+        while g != NONE {
+            dead[g as usize] = true;
+            removed += 1;
+            insts[g as usize].for_each_use(|u| {
+                let c = &mut uses[u.0 as usize];
+                *c -= 1;
+                if *c == 0 && first_def[u.0 as usize] != NONE {
+                    work.push(u.0 as usize);
+                }
+            });
+            g = next_def[g as usize];
+        }
+    }
+    if removed > 0 {
+        let mut dead = dead.into_iter();
+        for b in &mut f.blocks {
+            b.insts.retain(|_| !dead.next().unwrap_or(false));
+        }
+    }
+    removed
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! * occupancy is monotone in resource usage;
 //! * the preprocessor's command-line defines override in-source defaults.
 
-use ks_core::{Compiler, Defines};
+use ks_core::{Compiler, Defines, ValidationConfig};
 use ks_sim::{launch, occupancy, DeviceConfig, DeviceState, KArg, LaunchDims, LaunchOptions};
 use proptest::prelude::*;
 
@@ -226,5 +226,39 @@ fn data_type_specialization_via_macro() {
     let out = st.global.read_i32_slice(pout, 32).unwrap();
     for (i, v) in out.iter().enumerate() {
         assert_eq!(*v, i as i32 * 6);
+    }
+}
+
+/// A register updated from itself (`y = y + 1` three times) is a new
+/// value each time: CSE must not keep `y + 1` available across its own
+/// redefinition and turn the second add into a copy.
+#[test]
+fn self_updating_register_is_not_reused() {
+    let src = r#"
+        __global__ void inc3(int* out, int x) {
+            int tid = (int)(blockIdx.x * blockDim.x + threadIdx.x);
+            int y = x; y = y + 1; y = y + 1; y = y + 1; out[tid] = y;
+        }
+    "#;
+    let compiler = Compiler::new(DeviceConfig::tesla_c2070());
+    let bin = compiler.compile(src, Defines::new()).unwrap();
+    let mut st = DeviceState::new(DeviceConfig::tesla_c2070(), 4 << 20);
+    let pout = st.global.alloc(32 * 4).unwrap();
+    launch(
+        &mut st,
+        &bin.module,
+        "inc3",
+        LaunchDims::linear(1, 32),
+        &[KArg::Ptr(pout), KArg::I32(10)],
+        LaunchOptions::default(),
+    )
+    .unwrap();
+    let out = st.global.read_i32_slice(pout, 32).unwrap();
+    assert!(out.iter().all(|&v| v == 13), "{out:?}\n{}", bin.ptx);
+
+    let validating =
+        Compiler::new(DeviceConfig::tesla_c2070()).with_validation(ValidationConfig::default());
+    if let Err(e) = validating.compile(src, Defines::new()) {
+        panic!("translation validation rejects the compile: {e}");
     }
 }
